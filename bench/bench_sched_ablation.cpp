@@ -6,10 +6,9 @@
 //   3b. the policy spectrum: static / guided / batch+steal / per-job;
 //   4. the thread runtime protocols on a real workload, feeding measured
 //      per-path durations back through the simulator;
-//   5. batched work stealing vs per-job dynamic dispatch on the thread
-//      runtime under injected message latency (the run_batch tentpole
-//      claim: batch throughput >= dynamic at >= 1 ms latency, with
-//      identical path results across all three schedulers);
+//   5. the FCFS vs BatchSteal session policies on the thread runtime under
+//      injected message latency (BatchSteal throughput >= FCFS at >= 1 ms
+//      latency, with identical path results across every policy);
 //   6. the Pieri tree scheduler under both session policies (FCFS vs
 //      BatchSteal, DESIGN.md section 7): level batches must cut master
 //      dispatches while producing the identical solution set.
@@ -199,7 +198,7 @@ int main() {
     const bool same = sched::identical_path_results(st, dy) && sched::identical_path_results(st, ba);
     all_identical = all_identical && same;
     std::printf(
-        "  %zu paths; static: %zu conv %zu div; all three schedulers identical: %s\n",
+        "  %zu paths; static: %zu conv %zu div; all three policies identical: %s\n",
         starts.size(), st.converged, st.diverged, same ? "yes" : "NO");
     std::printf("  dispatches: dynamic %zu, batch %zu; batch steals %zu\n", dy.dispatches,
                 ba.dispatches, ba.steals);
@@ -219,13 +218,13 @@ int main() {
               << "\n";
   }
 
-  // ---- 5. batch+steal vs per-job dynamic under injected latency --------------
+  // ---- 5. FCFS vs BatchSteal under injected latency ---------------------------
   std::vector<JsonRow> json_rows;
   {
-    util::Table t("ABLATION 5 -- run_batch vs run_dynamic under injected latency "
+    util::Table t("ABLATION 5 -- FCFS vs BatchSteal under injected latency "
                   "(4 ranks, real tracking)");
-    t.set_header({"latency (ms)", "dynamic wall (s)", "batch wall (s)",
-                  "dynamic paths/s", "batch paths/s", "batch wins", "identical"});
+    t.set_header({"latency (ms)", "FCFS wall (s)", "BatchSteal wall (s)", "FCFS paths/s",
+                  "BatchSteal paths/s", "BatchSteal wins", "identical"});
     std::vector<double> latencies_ms{0.0, 1.0};
     if (!tiny) latencies_ms.push_back(5.0);
     bool batch_wins_at_latency = true;
@@ -253,7 +252,7 @@ int main() {
       json_rows.push_back({name, ba.wall_seconds, tput_ba, ba.dispatches, ba.steals});
     }
     std::cout << t.to_string();
-    std::printf("  batch >= dynamic throughput at latency >= 1 ms: %s\n",
+    std::printf("  BatchSteal >= FCFS throughput at latency >= 1 ms: %s\n",
                 batch_wins_at_latency ? "yes" : "NO");
   }
 

@@ -4,8 +4,8 @@
 // admitted drains to completion before the session returns.
 //
 // The offered rate is chosen so the trace outlives the deadline slightly:
-// the run demonstrates arrival gating, admit->report latency percentiles
-// (LatencySink), graceful shedding, and the zero-loss drain guarantee.
+// the run demonstrates arrival gating, admit->consume sojourn percentiles,
+// graceful shedding, and the zero-loss drain guarantee.
 
 #include <cstdio>
 
@@ -42,10 +42,8 @@ int main() {
   sched::VectorJobSource inner(workload);
   sched::StreamJobSource stream(inner, trace);
   sched::InMemoryReportSink mem;
-  sched::LatencySink lat(mem);
-  stream.set_admit_observer([&](sched::JobId id) { lat.admit(id); });
 
-  sched::Session session(stream, lat,
+  sched::Session session(stream, mem,
                          sched::SessionOptions()
                              .with_serve_deadline(deadline)
                              .with_name("solve_service"));
@@ -60,10 +58,8 @@ int main() {
   std::printf("  tracked: %zu converged, %zu diverged\n", report.converged, report.diverged);
   std::printf("  queue: max depth %zu, time-weighted avg %.2f\n", sv.max_queue_depth,
               sv.avg_queue_depth);
-  std::printf("  sojourn  (admit->consume): p50 %.2f ms, p99 %.2f ms\n",
+  std::printf("  sojourn (admit->consume): p50 %.2f ms, p99 %.2f ms\n",
               sv.sojourn.p50() * 1e3, sv.sojourn.p99() * 1e3);
-  std::printf("  latency  (admit->report):  p50 %.2f ms, p99 %.2f ms\n",
-              lat.latencies().p50() * 1e3, lat.latencies().p99() * 1e3);
   std::printf(
       "\nAt 10 req/s the three workers are far under capacity: the queue stays\n"
       "shallow and sojourn tracks pure service time.  bench_solve_service sweeps\n"

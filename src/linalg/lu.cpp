@@ -132,8 +132,4 @@ double LU::min_pivot_magnitude() const {
 
 Complex determinant(const CMatrix& a) { return LU(a).determinant(); }
 
-std::optional<CVector> solve(const CMatrix& a, const CVector& b) {
-  return LU(a).solve(b);
-}
-
 }  // namespace pph::linalg

@@ -71,8 +71,7 @@ class LU {
   double norm_a_inf_ = 0.0;
 };
 
-/// Convenience wrappers.
+/// Convenience wrapper.
 Complex determinant(const CMatrix& a);
-std::optional<CVector> solve(const CMatrix& a, const CVector& b);
 
 }  // namespace pph::linalg

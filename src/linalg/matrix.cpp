@@ -150,13 +150,6 @@ double distance2(const CVector& x, const CVector& y) {
   return std::sqrt(s);
 }
 
-CVector axpy(const CVector& x, Complex alpha, const CVector& y) {
-  if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
-  CVector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] + alpha * y[i];
-  return out;
-}
-
 Complex dot(const CVector& x, const CVector& y) {
   if (x.size() != y.size()) throw std::invalid_argument("dot: size mismatch");
   Complex s{};

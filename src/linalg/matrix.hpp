@@ -101,8 +101,6 @@ double norm2(const CVector& x);
 double norm_inf(const CVector& x);
 /// Euclidean distance ||x - y||.
 double distance2(const CVector& x, const CVector& y);
-/// x + alpha * y (sizes must agree).
-CVector axpy(const CVector& x, Complex alpha, const CVector& y);
 /// Dot product sum_i conj(x_i) * y_i.
 Complex dot(const CVector& x, const CVector& y);
 

@@ -35,10 +35,6 @@ std::optional<Message> Comm::recv_for(double seconds, int source, int tag) const
   return world_->mailboxes_[static_cast<std::size_t>(rank_)]->recv_for(seconds, source, tag);
 }
 
-std::optional<std::pair<int, int>> Comm::probe(int source, int tag) const {
-  return world_->mailboxes_[static_cast<std::size_t>(rank_)]->probe(source, tag);
-}
-
 void Comm::barrier() const {
   std::unique_lock<std::mutex> lock(world_->barrier_mutex_);
   if (world_->barrier_poisoned_) throw WorldAborted();

@@ -4,10 +4,10 @@
 //
 // The paper's parallel code is C + MPI on a cluster; this runtime keeps the
 // same programming model (rank/size, blocking and immediate sends, blocking
-// receive, probe, a barrier) so the schedulers in src/sched read like the
+// and timed receive, a barrier) so the schedulers in src/sched read like the
 // paper's pseudo-code and their protocols are tested for correctness on any
 // machine.  Messaging is any-to-any: slave-to-slave traffic (the batch
-// scheduler's steal replies, see serialize.hpp) rides the same per-rank
+// policy's steal replies, see serialize.hpp) rides the same per-rank
 // mailboxes as master dispatch.  See DESIGN.md section 1 for the
 // substitution rationale.
 
@@ -47,7 +47,6 @@ class Comm {
   /// uses it to sleep until a result lands or the next arrival is due.
   std::optional<Message> recv_for(double seconds, int source = kAnySource,
                                   int tag = kAnyTag) const;
-  std::optional<std::pair<int, int>> probe(int source = kAnySource, int tag = kAnyTag) const;
 
   /// All ranks must call; returns when every rank has arrived.
   void barrier() const;

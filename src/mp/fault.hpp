@@ -11,9 +11,8 @@
 // The same plan replays bit-identically on every run, so chaos tests can
 // assert exact recovery behaviour instead of hoping a race shows up.
 //
-// This is the single fault source of the runtime: the legacy cooperative
-// kill switch (SessionOptions::kill_slave_after_jobs) is a thin wrapper
-// that appends one kDieAnnounced action to the session's plan.
+// This is the single fault source of the runtime: sessions take it as
+// SessionOptions::fault_plan (ParallelPieriOptions::fault_plan for run_pieri).
 
 #include <cstddef>
 #include <cstdint>
@@ -30,8 +29,8 @@ enum class FaultKind : int {
   /// The rank's thread returns without sending anything -- no kTagDead, no
   /// result, no heartbeat.  Only a supervisor notices.
   kDieSilently = 0,
-  /// The rank announces its death (kTagDead) before returning: the legacy
-  /// cooperative kill switch.
+  /// The rank announces its death (kTagDead) before returning: a
+  /// cooperative death the master handles without supervision.
   kDieAnnounced = 1,
   /// The rank stops working and sending (not even heartbeats) but its
   /// thread stays parked on the mailbox so the world remains joinable;

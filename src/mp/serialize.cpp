@@ -18,20 +18,11 @@ std::string Unpacker::read_string() {
   return s;
 }
 
-void Unpacker::ensure(std::size_t n) const {
-  if (pos_ + n > buffer_.size()) throw std::out_of_range("Unpacker: payload underrun");
+void Unpacker::ensure(std::uint64_t n) const {
+  if (n > buffer_.size() - pos_) underrun();
 }
 
-std::vector<std::byte> pack_index_batch(const std::vector<std::uint64_t>& indices) {
-  Packer p;
-  p.write_vector(indices);
-  return p.take();
-}
-
-std::vector<std::uint64_t> unpack_index_batch(const std::vector<std::byte>& payload) {
-  Unpacker u(payload);
-  return u.read_vector<std::uint64_t>();
-}
+void Unpacker::underrun() { throw std::out_of_range("Unpacker: payload underrun"); }
 
 std::vector<std::byte> pack_steal_request(const StealRequest& req) {
   Packer p;
@@ -44,14 +35,6 @@ StealRequest unpack_steal_request(const std::vector<std::byte>& payload) {
   StealRequest req;
   req.thief = u.read<int>();
   return req;
-}
-
-std::vector<std::byte> pack_steal_reply(const StealReply& reply) {
-  return pack_index_batch(reply.indices);
-}
-
-StealReply unpack_steal_reply(const std::vector<std::byte>& payload) {
-  return StealReply{unpack_index_batch(payload)};
 }
 
 std::vector<std::byte> pack_job_frame(const JobFrame& frame) {
@@ -95,35 +78,6 @@ std::vector<JobFrame> unpack_job_frame_batch(const std::vector<std::byte>& paylo
     frames.push_back(std::move(frame));
   }
   return frames;
-}
-
-void append_double_bits(std::string& out, double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  constexpr char kHex[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kHex[(bits >> shift) & 0xF]);
-  }
-}
-
-double parse_double_bits(const std::string& line, std::size_t& pos) {
-  if (pos + 16 > line.size()) {
-    throw std::invalid_argument("parse_double_bits: truncated hex field");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const char c = line[pos + i];
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else throw std::invalid_argument("parse_double_bits: malformed hex field");
-    bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-  }
-  pos += 16;
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
 }
 
 }  // namespace pph::mp

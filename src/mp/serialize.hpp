@@ -62,7 +62,8 @@ class Unpacker {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    ensure(n * sizeof(T));
+    // Check the count before multiplying: a corrupt n * sizeof(T) wraps.
+    if (n > (buffer_.size() - pos_) / sizeof(T)) underrun();
     std::vector<T> v(n);
     if (n != 0) std::memcpy(v.data(), buffer_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -72,44 +73,31 @@ class Unpacker {
   bool exhausted() const { return pos_ == buffer_.size(); }
 
  private:
-  void ensure(std::size_t n) const;
+  /// Throws unless `n` more bytes remain (compares against the remainder,
+  /// so a corrupt length cannot wrap the check).
+  void ensure(std::uint64_t n) const;
+  [[noreturn]] static void underrun();
 
   const std::vector<std::byte>& buffer_;
   std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Work-stealing message payloads.  These are byte-level payload shapes, not
-// protocol: any scheduler can reuse them without agreeing on message tags.
+// Work-stealing and session job framing.  These are byte-level payload
+// shapes, not protocol -- tags live in sched/job_pool.hpp.  The scheduler
+// sessions (sched/session.hpp) move *framed* jobs: an opaque per-source
+// payload prefixed with the job id the master uses for ownership
+// bookkeeping.
 // ---------------------------------------------------------------------------
 
-/// A batch of job indices (a master batch hand-out, or the bulk half of a
-/// steal reply).
-std::vector<std::byte> pack_index_batch(const std::vector<std::uint64_t>& indices);
-std::vector<std::uint64_t> unpack_index_batch(const std::vector<std::byte>& payload);
-
 /// Steal request: ask a busy victim to donate part of its local queue
-/// directly to rank `thief`.
+/// directly to rank `thief` (the victim ships the stolen frames with
+/// pack_job_frame_batch, possibly empty -- a refusal).
 struct StealRequest {
   int thief = -1;
 };
 std::vector<std::byte> pack_steal_request(const StealRequest& req);
 StealRequest unpack_steal_request(const std::vector<std::byte>& payload);
-
-/// Steal reply: the victim ships `indices` (possibly empty -- a refusal)
-/// straight to the thief, bypassing the master for the bulk transfer.
-struct StealReply {
-  std::vector<std::uint64_t> indices;
-};
-std::vector<std::byte> pack_steal_reply(const StealReply& reply);
-StealReply unpack_steal_reply(const std::vector<std::byte>& payload);
-
-// ---------------------------------------------------------------------------
-// Session job framing.  The unified scheduler sessions (sched/session.hpp)
-// move *framed* jobs: an opaque per-source payload prefixed with the job id
-// the master uses for ownership bookkeeping.  Like the steal shapes above,
-// these are payload shapes only -- tags live in sched/job_pool.hpp.
-// ---------------------------------------------------------------------------
 
 struct JobFrame {
   std::uint64_t id = 0;
@@ -128,18 +116,5 @@ JobFrame unpack_job_frame(const std::vector<std::byte>& payload);
 /// not reconstructible from an index).
 std::vector<std::byte> pack_job_frame_batch(const std::vector<JobFrame>& frames);
 std::vector<JobFrame> unpack_job_frame_batch(const std::vector<std::byte>& payload);
-
-// ---------------------------------------------------------------------------
-// Bit-exact text framing for the streaming result store (sched/result_store).
-// Doubles are framed as the 16 lowercase hex digits of their IEEE-754 bits:
-// round-trips NaN payloads and signed zeros exactly, which "%.17g" cannot
-// (diverged paths legitimately carry NaN endpoints, and the store must
-// reproduce them bit for bit on resume).
-// ---------------------------------------------------------------------------
-
-void append_double_bits(std::string& out, double value);
-/// Parse 16 hex digits at `pos`; advances `pos` past them.  Throws
-/// std::invalid_argument on malformed input.
-double parse_double_bits(const std::string& line, std::size_t& pos);
 
 }  // namespace pph::mp

@@ -20,9 +20,8 @@
 //       sched::SessionOptions().with_serve_deadline(10.0));
 //   auto stats = session.serve(ranks);  // stats.service has the queue metrics
 //
-// The legacy entry points (run_static, run_dynamic, run_batch,
-// run_parallel_pieri) are deprecated wrappers over these types; compose a
-// Session (or call the run_paths / run_pieri / run_with_store facades).
+// Compose a Session, or call the run_paths / run_pieri / run_with_store
+// facades.
 
 #include <cstddef>
 #include <cstdint>
@@ -327,11 +326,6 @@ struct SessionOptions {
   /// Simulated per-message latency in seconds (0 for none), charged on the
   /// sender before each send; surfaces communication overhead in-process.
   double injected_latency = 0.0;
-  /// Fail-injection hook for tests: the slave at kill_slave_rank "dies"
-  /// after completing this many jobs (nullopt disables); the master
-  /// re-queues everything the dead slave still owned.
-  std::optional<std::size_t> kill_slave_after_jobs;
-  int kill_slave_rank = -1;
   /// Checkpoint control (DESIGN.md section 7 "Resume protocol"): once this
   /// many results have been accepted the master broadcasts kTagAbort,
   /// collects the slaves' completed-but-unreported results (kTagAbortFlush)
@@ -356,10 +350,11 @@ struct SessionOptions {
   /// Deterministic fault injection (mp/fault.hpp): the plan is compiled
   /// into a FaultInjector consulted by the slave loops at job boundaries
   /// and by Comm::send.  Uncooperative faults (silent death, hang) require
-  /// the supervisor -- nobody else would notice.  The legacy kill switch
-  /// above is folded into this plan as one kDieAnnounced action.
+  /// the supervisor -- nobody else would notice.  A cooperative death
+  /// (kill_announced) needs no supervisor: the master re-queues everything
+  /// the dead slave still owned.
   mp::FaultPlan fault_plan;
-  /// Name used in validation error messages (legacy wrappers pass theirs).
+  /// Name used in validation error messages (facades pass theirs).
   const char* who = "sched::Session";
 
   // Fluent setters, chainable on an rvalue:
@@ -383,11 +378,6 @@ struct SessionOptions {
   }
   SessionOptions& with_latency(double seconds) {
     injected_latency = seconds;
-    return *this;
-  }
-  SessionOptions& with_kill_after(std::size_t jobs, int rank) {
-    kill_slave_after_jobs = jobs;
-    kill_slave_rank = rank;
     return *this;
   }
   SessionOptions& with_stop_after(std::size_t results) {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 namespace pph::sched {
@@ -129,21 +128,6 @@ std::size_t guided_chunk_size(std::size_t remaining, std::size_t workers, double
 void inject_latency(double seconds) {
   if (seconds > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-}
-
-void validate_kill_switch(int kill_rank, bool armed, int ranks, const char* who) {
-  if (kill_rank == 0) {
-    throw std::invalid_argument(std::string(who) +
-                                ": kill_slave_rank 0 is the master and cannot be killed");
-  }
-  if (!armed || kill_rank < 0) return;
-  if (kill_rank >= ranks) {
-    throw std::invalid_argument(std::string(who) + ": kill_slave_rank names no such slave");
-  }
-  if (ranks < 3) {
-    throw std::invalid_argument(std::string(who) +
-                                ": fail injection needs at least one surviving slave");
   }
 }
 

@@ -3,7 +3,7 @@
 // section 7): a JSONL file with one TrackedPath record per line, flushed
 // per record so a killed run loses at most the line being written, plus an
 // index/offset footer appended on clean shutdown.  Doubles are framed as
-// their IEEE-754 bits in hex (mp::append_double_bits), because resumed
+// their IEEE-754 bits in hex (store/record_codec.hpp), because resumed
 // sessions must reproduce results bit for bit and diverged paths
 // legitimately carry NaN endpoints.
 //

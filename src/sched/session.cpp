@@ -309,7 +309,7 @@ struct MasterContext {
       if (own == s) held.push_back(id);
     }
     // Descending + push_front puts the re-queued jobs at the front in
-    // ascending id order, as the legacy schedulers did.
+    // ascending id order.
     std::sort(held.begin(), held.end(), std::greater<>());
     for (const JobId id : held) {
       owner.erase(id);
@@ -917,9 +917,8 @@ void run_serve_master(MasterContext& ctx, MasterPolicy& policy, StreamJobSource&
 }
 
 // ---------------------------------------------------------------------------
-// Slave loops.  Fault injection is consulted at job boundaries: the plan is
-// the single fault source (the legacy kill switch arrives here as one
-// kDieAnnounced action).
+// Slave loops.  Fault injection is consulted at job boundaries: the
+// session's FaultPlan is the single fault source.
 // ---------------------------------------------------------------------------
 
 /// A hung rank does no work and sends nothing -- not even heartbeats -- but
@@ -934,8 +933,7 @@ void hang_until_released(mp::Comm& comm) {
 
 /// Consult the injector at a job boundary: arms straggler sleep (and takes
 /// it) as a side effect, and returns the terminal fault due now, if any --
-/// the caller acts on it and returns without a busy report, exactly as the
-/// legacy kill switch did.
+/// the caller acts on it and returns without a busy report.
 std::optional<mp::FaultKind> fault_at_job_boundary(mp::Comm& comm, mp::FaultInjector* fault,
                                                    std::size_t completed,
                                                    std::uint64_t job_id) {
@@ -1249,18 +1247,8 @@ SessionStats run_static_session(JobSource& source, ResultSink& sink, int ranks,
 }
 
 // ---------------------------------------------------------------------------
-// Fault-plan assembly + validation.
+// Launch validation.
 // ---------------------------------------------------------------------------
-
-/// The single fault source: the session's declarative plan, with the legacy
-/// cooperative kill switch folded in as one announced death.
-mp::FaultPlan effective_fault_plan(const SessionOptions& opts) {
-  mp::FaultPlan plan = opts.fault_plan;
-  if (opts.kill_slave_after_jobs.has_value()) {
-    plan.kill_announced(opts.kill_slave_rank, *opts.kill_slave_after_jobs);
-  }
-  return plan;
-}
 
 void validate_supervisor(const SupervisorOptions& so, const std::string& who) {
   if (!so.enabled) return;
@@ -1302,6 +1290,51 @@ void validate_fault_plan(const mp::FaultPlan& plan, int ranks, const SessionOpti
   }
 }
 
+/// The one launch path of Session::run and Session::serve: the checks both
+/// share, the fault injector, and the world whose rank 0 runs `master` over
+/// the session's policy while every other rank runs that policy's slave
+/// loop.  Once per session, never per job.
+SessionStats launch(JobSource& source, ResultSink& sink, const SessionOptions& opts,
+                    int ranks,
+                    const std::function<void(MasterContext&, MasterPolicy&)>& master) {
+  const std::string who(opts.who);
+  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
+  if (opts.policy == Policy::kBatchSteal && opts.factor <= 0.0) {
+    throw std::invalid_argument(who + ": factor must be positive");
+  }
+  validate_supervisor(opts.supervisor, who);
+  validate_fault_plan(opts.fault_plan, ranks, opts, who);
+  mp::FaultInjector injector(opts.fault_plan, ranks);
+  mp::FaultInjector* fault = opts.fault_plan.empty() ? nullptr : &injector;
+
+  SessionStats stats;
+  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
+  util::WallTimer wall;
+
+  mp::World::run(
+      ranks,
+      [&](mp::Comm& comm) {
+        if (comm.rank() == 0) {
+          MasterContext ctx(comm, source, sink, opts, stats, ranks);
+          if (opts.policy == Policy::kFCFS) {
+            FcfsPolicy policy;
+            master(ctx, policy);
+          } else {
+            BatchStealPolicy policy(ranks);
+            master(ctx, policy);
+          }
+        } else if (opts.policy == Policy::kFCFS) {
+          run_fcfs_slave(comm, source, opts, fault);
+        } else {
+          run_batch_slave(comm, source, opts, fault);
+        }
+      },
+      fault);
+
+  stats.wall_seconds = wall.seconds();
+  return stats;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1322,7 +1355,7 @@ SessionStats Session::run(int ranks) {
     if (!source_.fixed_total().has_value()) {
       throw std::invalid_argument(who + ": static pre-assignment needs a fixed job pool");
     }
-    if (opts_.kill_slave_after_jobs.has_value() || !opts_.fault_plan.empty()) {
+    if (!opts_.fault_plan.empty()) {
       throw std::invalid_argument(who + ": the static policy has no master to re-queue "
                                         "a dead slave's jobs");
     }
@@ -1337,43 +1370,7 @@ SessionStats Session::run(int ranks) {
     return stats;
   }
 
-  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
-  if (opts_.policy == Policy::kBatchSteal && opts_.factor <= 0.0) {
-    throw std::invalid_argument(who + ": factor must be positive");
-  }
-  validate_kill_switch(opts_.kill_slave_rank, opts_.kill_slave_after_jobs.has_value(), ranks,
-                       opts_.who);
-  validate_supervisor(opts_.supervisor, who);
-  const mp::FaultPlan plan = effective_fault_plan(opts_);
-  validate_fault_plan(plan, ranks, opts_, who);
-  mp::FaultInjector injector(plan, ranks);
-  mp::FaultInjector* fault = plan.empty() ? nullptr : &injector;
-
-  SessionStats stats;
-  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
-  util::WallTimer wall;
-
-  mp::World::run(
-      ranks,
-      [&](mp::Comm& comm) {
-        if (comm.rank() == 0) {
-          MasterContext ctx(comm, source_, sink_, opts_, stats, ranks);
-          if (opts_.policy == Policy::kFCFS) {
-            FcfsPolicy policy;
-            run_master(ctx, policy);
-          } else {
-            BatchStealPolicy policy(ranks);
-            run_master(ctx, policy);
-          }
-        } else if (opts_.policy == Policy::kFCFS) {
-          run_fcfs_slave(comm, source_, opts_, fault);
-        } else {
-          run_batch_slave(comm, source_, opts_, fault);
-        }
-      },
-      fault);
-
-  stats.wall_seconds = wall.seconds();
+  SessionStats stats = launch(source_, sink_, opts_, ranks, run_master);
   sink_.finish();
   return stats;
 }
@@ -1389,62 +1386,34 @@ SessionStats Session::serve(int ranks) {
     throw std::invalid_argument(who + ": the static policy cannot serve a stream "
                                       "(jobs that have not arrived cannot be pre-assigned)");
   }
-  if (ranks < 2) throw std::invalid_argument(who + ": need a master and at least one slave");
-  if (opts_.policy == Policy::kBatchSteal && opts_.factor <= 0.0) {
-    throw std::invalid_argument(who + ": factor must be positive");
-  }
-  validate_kill_switch(opts_.kill_slave_rank, opts_.kill_slave_after_jobs.has_value(), ranks,
-                       opts_.who);
-  validate_supervisor(opts_.supervisor, who);
   validate_reliability(opts_.reliability, who);
-  const mp::FaultPlan plan = effective_fault_plan(opts_);
-  validate_fault_plan(plan, ranks, opts_, who);
-  mp::FaultInjector injector(plan, ranks);
-  mp::FaultInjector* fault = plan.empty() ? nullptr : &injector;
-
-  SessionStats stats;
-  stats.rank_busy_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
 
   // Reliability layer (DESIGN.md section 13): deadlines stamp through the
   // stream's admission hook, the brownout controller rides every depth
-  // change, and the master context carries pointers to both.
+  // change, and the master context carries pointers to both.  The hooks
+  // attach on the master, which alone drives the stream, so a launch that
+  // fails validation leaves the stream untouched.
   std::optional<ReliabilityState> rel;
   std::optional<OverloadController> controller;
   if (opts_.reliability.enabled) {
     rel.emplace(opts_.reliability);
-    stream->set_admit_hook([&rel](JobId id, double now) { rel->on_admit(id, now); });
-    if (opts_.reliability.overload.enabled) {
-      controller.emplace(opts_.reliability.overload);
-      stream->set_overload(&*controller);
-    }
+    if (opts_.reliability.overload.enabled) controller.emplace(opts_.reliability.overload);
   }
 
-  util::WallTimer wall;
-
-  mp::World::run(
-      ranks,
-      [&](mp::Comm& comm) {
-        if (comm.rank() == 0) {
-          MasterContext ctx(comm, source_, sink_, opts_, stats, ranks);
-          ctx.stream = stream;
-          ctx.rel = rel.has_value() ? &*rel : nullptr;
-          ctx.overload = controller.has_value() ? &*controller : nullptr;
-          if (opts_.policy == Policy::kFCFS) {
-            FcfsPolicy policy;
-            run_serve_master(ctx, policy, *stream);
-          } else {
-            BatchStealPolicy policy(ranks);
-            run_serve_master(ctx, policy, *stream);
-          }
-        } else if (opts_.policy == Policy::kFCFS) {
-          run_fcfs_slave(comm, source_, opts_, fault);
-        } else {
-          run_batch_slave(comm, source_, opts_, fault);
+  SessionStats stats =
+      launch(source_, sink_, opts_, ranks, [&](MasterContext& ctx, MasterPolicy& policy) {
+        ctx.stream = stream;
+        if (rel.has_value()) {
+          ctx.rel = &*rel;
+          stream->set_admit_hook([&rel](JobId id, double now) { rel->on_admit(id, now); });
         }
-      },
-      fault);
+        if (controller.has_value()) {
+          ctx.overload = &*controller;
+          stream->set_overload(&*controller);
+        }
+        run_serve_master(ctx, policy, *stream);
+      });
 
-  stats.wall_seconds = wall.seconds();
   stats.service = stream->take_service();
   if (controller.has_value()) {
     stats.reliability.brownout_transitions = controller->transitions().size();

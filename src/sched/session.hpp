@@ -10,19 +10,16 @@
 //   Policy     -- how jobs reach slaves: per-job FCFS dispatch, static
 //                 pre-assignment, or guided batches with master-brokered
 //                 work stealing -- one shared master loop, one set of
-//                 message tags (job_pool.hpp), one kill-switch and
-//                 death-requeue implementation;
+//                 message tags (job_pool.hpp), one death-requeue
+//                 implementation;
 //   ResultSink -- where finished jobs go: an in-memory report
 //                 (InMemoryReportSink), a streaming on-disk store
-//                 (JsonlStoreSink in sched/result_store.hpp), a latency
-//                 decorator (LatencySink), or several at once (tee(...)).
+//                 (JsonlStoreSink in sched/result_store.hpp), or several at
+//                 once (tee(...)).
 //
 // The option/stat/policy types a session is composed from live in the
-// front-door header sched/api.hpp.  The legacy entry points (run_static,
-// run_dynamic, run_batch, run_parallel_pieri) are deprecated wrappers over
-// a Session; new code should compose a Session directly.  Scheduling never
-// changes the numerics: for a given source, every policy produces
-// bit-identical result sets.
+// front-door header sched/api.hpp.  Scheduling never changes the numerics:
+// for a given source, every policy produces bit-identical result sets.
 //
 // Robustness (DESIGN.md section 11): with SessionOptions::supervisor
 // enabled, the master tracks slave liveness via heartbeats (kTagHeartbeat)
@@ -36,12 +33,10 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sched/api.hpp"
 #include "sched/job_pool.hpp"
-#include "util/timer.hpp"
 
 namespace pph::sched {
 
@@ -64,12 +59,12 @@ class ResultSink {
   virtual void finish() {}
 };
 
-/// Collects every record in memory and assembles the legacy report.
+/// Collects every record in memory and assembles the ParallelRunReport.
 class InMemoryReportSink final : public ResultSink {
  public:
   void accept(const TrackedPath& tp) override { paths_.push_back(tp); }
   std::size_t count() const { return paths_.size(); }
-  /// The legacy ParallelRunReport: paths sorted + tallied, stats folded in.
+  /// The ParallelRunReport: paths sorted + tallied, stats folded in.
   /// One-shot: moves the collected records out of the sink (a second copy
   /// of a million-path result set has no business existing on the master).
   ParallelRunReport report(const SessionStats& stats);
@@ -88,7 +83,7 @@ class DiscardSink final : public ResultSink {
 };
 
 /// Fan a session's results into any number of sinks (e.g. report +
-/// on-disk store + latency decorator).  Compose through the variadic
+/// on-disk store).  Compose through the variadic
 /// tee(...) factory below; the referenced sinks must outlive the fan-out.
 class FanoutSink final : public ResultSink {
  public:
@@ -110,36 +105,6 @@ template <typename... Sinks>
 FanoutSink tee(Sinks&... sinks) {
   return FanoutSink({static_cast<ResultSink*>(&sinks)...});
 }
-
-/// Decorator adding admit->report latency percentiles to ANY sink: the
-/// serve loop (or any caller) stamps admission with admit(id); accept()
-/// takes the sample and forwards to the inner sink unchanged.  A job that
-/// was never stamped is measured from the decorator's construction -- in a
-/// batch (non-streamed) session every job "arrives" when the run starts,
-/// so the samples degenerate to time-to-completion.
-class LatencySink final : public ResultSink {
- public:
-  explicit LatencySink(ResultSink& inner) : inner_(inner) {}
-
-  void admit(JobId id) { admit_seconds_[id] = clock_.seconds(); }
-
-  void accept(const TrackedPath& tp) override {
-    const auto it = admit_seconds_.find(tp.index);
-    const double admitted = it == admit_seconds_.end() ? 0.0 : it->second;
-    latencies_.add(clock_.seconds() - admitted);
-    if (it != admit_seconds_.end()) admit_seconds_.erase(it);
-    inner_.accept(tp);
-  }
-  void finish() override { inner_.finish(); }
-
-  const util::PercentileAccumulator& latencies() const { return latencies_; }
-
- private:
-  ResultSink& inner_;
-  util::WallTimer clock_;
-  std::unordered_map<JobId, double> admit_seconds_;
-  util::PercentileAccumulator latencies_;
-};
 
 // ---------------------------------------------------------------------------
 // JobSource: where jobs come from and how a slave executes one.
@@ -262,8 +227,7 @@ class Session {
 };
 
 /// Facade for the common composition: track a PathWorkload under
-/// opts.policy, collecting the legacy report.  The four legacy run_*
-/// entry points delegate here / to Session.
+/// opts.policy, collecting the ParallelRunReport.
 ParallelRunReport run_paths(const PathWorkload& workload, int ranks,
                             const SessionOptions& opts = {});
 

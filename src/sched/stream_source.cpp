@@ -49,7 +49,6 @@ void StreamJobSource::admit(JobId id, double now) {
   ++service_.admitted;
   service_.max_queue_depth = std::max(service_.max_queue_depth, ready_.size());
   admit_seconds_[id] = now;
-  if (admit_observer_) admit_observer_(id);
   if (admit_hook_) admit_hook_(id, now);
   observe_depth(now);
 }

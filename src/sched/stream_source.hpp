@@ -61,12 +61,6 @@ class StreamJobSource final : public JobSource {
   /// queue depth up to now.
   ServiceStats take_service() const;
 
-  /// Admission observer, called with each job id the moment it is admitted
-  /// (e.g. LatencySink::admit for admit->report latency percentiles).
-  void set_admit_observer(std::function<void(JobId)> observer) {
-    admit_observer_ = std::move(observer);
-  }
-
   // ---- reliability-layer hooks (DESIGN.md section 13) ----
 
   /// Attach the brownout controller: every queue-depth change (admit,
@@ -76,9 +70,9 @@ class StreamJobSource final : public JobSource {
   /// detaches.
   void set_overload(OverloadController* controller) { overload_ = controller; }
 
-  /// Second admission hook, called with (id, service-clock seconds) at each
-  /// FIRST admission -- the reliability layer stamps deadlines here;
-  /// admit_observer_ above stays free for the LatencySink decorator.
+  /// Admission hook, called with (id, service-clock seconds) at each FIRST
+  /// admission -- the reliability layer stamps deadlines here.  An empty
+  /// function detaches it.
   void set_admit_hook(std::function<void(JobId, double)> hook) {
     admit_hook_ = std::move(hook);
   }
@@ -151,7 +145,6 @@ class StreamJobSource final : public JobSource {
   bool closed_ = false;
 
   util::WallTimer clock_;
-  std::function<void(JobId)> admit_observer_;
   std::function<void(JobId, double)> admit_hook_;
   OverloadController* overload_ = nullptr;
   std::size_t brownout_shed_ = 0;

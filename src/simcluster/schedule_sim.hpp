@@ -51,13 +51,13 @@ SimOutcome simulate_guided(const std::vector<double>& durations, std::size_t cpu
                            const CommModel& comm = {}, double factor = 2.0,
                            std::size_t min_chunk = 1);
 
-/// Batched dispatch with work stealing (the thread runtime's run_batch,
-/// DESIGN.md section 2): the master hands out guided-size batches; a worker
-/// that drains its batch while the master pool is empty steals half of the
-/// most loaded worker's unstarted jobs, paying steal latency (one brokerage
-/// hop plus the worker-to-worker reply) instead of a master dispatch per
-/// job.  Chunk sizing is shared with the thread scheduler
-/// (sched::guided_chunk_size).
+/// Batched dispatch with work stealing (the thread runtime's
+/// Policy::kBatchSteal, DESIGN.md section 2): the master hands out
+/// guided-size batches; a worker that drains its batch while the master
+/// pool is empty steals half of the most loaded worker's unstarted jobs,
+/// paying steal latency (one brokerage hop plus the worker-to-worker reply)
+/// instead of a master dispatch per job.  Chunk sizing is shared with the
+/// thread scheduler (sched::guided_chunk_size).
 SimOutcome simulate_batch_steal(const std::vector<double>& durations, std::size_t cpus,
                                 const CommModel& comm = {}, double factor = 2.0,
                                 std::size_t min_chunk = 1);

@@ -13,6 +13,7 @@
 #include "sched/job_pool.hpp"
 #include "systems/cyclic.hpp"
 #include "util/prng.hpp"
+#include "util/timer.hpp"
 
 namespace pph::testing {
 
@@ -27,7 +28,9 @@ class SchedulerTest : public ::testing::Test {
     starts_ = start_->all_solutions();
     workload_.homotopy = homotopy_.get();
     workload_.starts = &starts_;
+    util::WallTimer timer;
     baseline_ = homotopy::track_all(*homotopy_, starts_, workload_.tracker);
+    baseline_seconds_ = timer.seconds();
   }
 
   static std::multiset<int> status_multiset(const sched::ParallelRunReport& report) {
@@ -89,6 +92,10 @@ class SchedulerTest : public ::testing::Test {
   std::vector<linalg::CVector> starts_;
   sched::PathWorkload workload_;
   std::vector<homotopy::PathResult> baseline_;
+  /// Wall time of the sequential baseline on this build and machine: a
+  /// test whose timing window must outlast a whole drain sizes the window
+  /// from this, so a slow (sanitizer, coverage) build widens it too.
+  double baseline_seconds_ = 0.0;
 };
 
 }  // namespace pph::testing

@@ -1,7 +1,7 @@
 // Tests for the batched work-stealing scheduler (DESIGN.md section 2,
 // "Batched work stealing"): adaptive batch sizing, result identity with the
-// sequential baseline and the other schedulers, forced steals, the
-// kill-a-slave fail-injection hook, and option validation.
+// sequential baseline and the other schedulers, forced steals, fault-plan
+// worker death, and option validation.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,12 @@ using pph::testing::SchedulerTest;
 /// Batch-steal session options shared by every test below.
 sched::SessionOptions batch_opts() {
   return sched::SessionOptions().with_policy(sched::Policy::kBatchSteal);
+}
+
+/// Batch-steal options whose fault plan kills `rank` (announced) once it
+/// has completed `jobs` paths.
+sched::SessionOptions batch_kill(int rank, std::size_t jobs) {
+  return batch_opts().with_fault_plan(pph::mp::FaultPlan().kill_announced(rank, jobs));
 }
 
 // ---- adaptive batch sizing -------------------------------------------------
@@ -105,7 +111,7 @@ TEST_F(SchedulerTest, StealsRebalanceAcrossWorkers) {
 
 TEST_F(SchedulerTest, BatchSurvivesWorkerDeath) {
   // Rank 2 dies on its 4th path.
-  const auto opts = batch_opts().with_kill_after(3, /*rank=*/2);
+  const auto opts = batch_kill(/*rank=*/2, 3);
   const auto report = sched::run_paths(workload_, 4, opts);
   // All paths still tracked, by the surviving workers; the master
   // re-queues the dead slave's batch (including unreported results).
@@ -118,9 +124,8 @@ TEST_F(SchedulerTest, BatchSurvivesWorkerDeath) {
 
 TEST_F(SchedulerTest, BatchDeathUnderStealPressure) {
   // Death and stealing interact: the skewed seed concentrates the pool on
-  // one slave, the kill hook removes another mid-run.
-  const auto opts =
-      batch_opts().with_batch(/*shrink_factor=*/0.1).with_kill_after(2, /*rank=*/1);
+  // one slave, the fault plan removes another mid-run.
+  const auto opts = batch_kill(/*rank=*/1, 2).with_batch(/*shrink_factor=*/0.1);
   const auto report = sched::run_paths(workload_, 4, opts);
   expect_matches_baseline(report);
 }
@@ -132,13 +137,18 @@ TEST_F(SchedulerTest, BatchRequiresTwoRanks) {
 }
 
 TEST_F(SchedulerTest, BatchRejectsKillingTheMaster) {
-  const auto opts = batch_opts().with_kill_after(1, /*rank=*/0);
+  const auto opts = batch_kill(/*rank=*/0, 1);
   EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
 }
 
 TEST_F(SchedulerTest, BatchRejectsOutOfRangeKillRank) {
-  const auto opts = batch_opts().with_kill_after(1, /*rank=*/9);
+  const auto opts = batch_kill(/*rank=*/9, 1);
   EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
+}
+
+TEST_F(SchedulerTest, BatchRejectsKillingEverySlave) {
+  const auto opts = batch_kill(/*rank=*/1, 1);
+  EXPECT_THROW(sched::run_paths(workload_, 2, opts), std::invalid_argument);
 }
 
 TEST_F(SchedulerTest, BatchRejectsNonPositiveFactor) {

@@ -411,8 +411,7 @@ TEST(PieriRescueFaultInjection, KilledSlaveLeavesRescueBitIdentical) {
   EXPECT_GT(healthy.suspect_paths, 0u);
 
   pph::sched::ParallelPieriOptions kill = opts;
-  kill.kill_slave_rank = 2;
-  kill.kill_slave_after_jobs = 3;
+  kill.fault_plan.kill_announced(/*rank=*/2, /*after_jobs=*/3);
   const auto wounded = pph::sched::run_pieri(input, 4, kill);
   EXPECT_TRUE(wounded.complete());
   // The re-queued rescue re-tracks are deterministic, so the canonical

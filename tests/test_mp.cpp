@@ -54,6 +54,46 @@ TEST(Serialize, UnderrunThrows) {
   EXPECT_THROW(u.read<double>(), std::out_of_range);
 }
 
+/// A frame whose length prefix is `count`, followed by 16 real bytes: the
+/// count is corrupt whenever it claims more than those bytes.
+std::vector<std::byte> frame_with_count(std::uint64_t count) {
+  Packer p;
+  p.write(count);
+  p.write(std::complex<double>{1.0, 2.0});
+  return p.take();
+}
+
+/// The typed underrun error, and nothing else (std::length_error or
+/// std::bad_alloc from the library would mean the check was bypassed).
+template <typename Read>
+void expect_underrun(Read read) {
+  try {
+    read();
+    ADD_FAILURE() << "corrupt length was accepted";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "Unpacker: payload underrun");
+  }
+}
+
+TEST(Serialize, CorruptLengthsThrowTypedUnderrun) {
+  // Each count wraps the byte check of a naive `pos + n > size` or
+  // `n * sizeof(T)`: 2^64-1 bytes of string, 2^61 doubles (2^64 bytes), and
+  // 2^60+1 complex doubles (2^64 + 16 bytes).
+  const auto huge_string = frame_with_count(~std::uint64_t{0});
+  expect_underrun([&] { Unpacker(huge_string).read_string(); });
+  const auto huge_doubles = frame_with_count(std::uint64_t{1} << 61);
+  expect_underrun([&] { Unpacker(huge_doubles).read_vector<double>(); });
+  const auto huge_complex = frame_with_count((std::uint64_t{1} << 60) + 1);
+  expect_underrun([&] { Unpacker(huge_complex).read_vector<std::complex<double>>(); });
+  // One element past the real bytes is still an underrun.
+  const auto one_past = frame_with_count(3);
+  expect_underrun([&] { Unpacker(one_past).read_vector<double>(); });
+  // The honest count reads back.
+  const auto exact = frame_with_count(1);
+  EXPECT_EQ(Unpacker(exact).read_vector<std::complex<double>>(),
+            (std::vector<std::complex<double>>{{1.0, 2.0}}));
+}
+
 TEST(MailboxTest, FifoPerSender) {
   Mailbox box;
   for (int i = 0; i < 5; ++i) box.push(Message{0, 7, {std::byte(i)}});

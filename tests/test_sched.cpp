@@ -1,8 +1,8 @@
 // Tests for the parallel schedulers: static and dynamic runs must track
 // every path exactly once and agree with the sequential baseline; the two
 // policies must produce *identical* PathResult sets (the scheduler-
-// independence invariant every new policy, including run_batch, must also
-// satisfy); the dynamic protocol must survive worker death (failure
+// independence invariant every policy, BatchSteal included, must also
+// satisfy); the dynamic protocol must survive worker death (fault-plan
 // injection); the parallel Pieri scheduler must reproduce the sequential
 // solver's solution set on multiple worker counts.
 
@@ -62,19 +62,29 @@ TEST_F(SchedulerTest, DynamicRequiresTwoRanks) {
 
 TEST_F(SchedulerTest, DynamicRejectsKillingTheMaster) {
   // The master can never be the kill target.
-  const auto opts = sched::SessionOptions().with_kill_after(1, /*rank=*/0);
+  const auto opts =
+      sched::SessionOptions().with_fault_plan(pph::mp::FaultPlan().kill_announced(0, 1));
   EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
 }
 
 TEST_F(SchedulerTest, DynamicRejectsOutOfRangeKillRank) {
   // Only ranks 1..3 exist.
-  const auto opts = sched::SessionOptions().with_kill_after(1, /*rank=*/7);
+  const auto opts =
+      sched::SessionOptions().with_fault_plan(pph::mp::FaultPlan().kill_announced(7, 1));
   EXPECT_THROW(sched::run_paths(workload_, 4, opts), std::invalid_argument);
+}
+
+TEST_F(SchedulerTest, DynamicRejectsKillingEverySlave) {
+  // Two ranks: killing rank 1 would leave nobody to track.
+  const auto opts =
+      sched::SessionOptions().with_fault_plan(pph::mp::FaultPlan().kill_announced(1, 1));
+  EXPECT_THROW(sched::run_paths(workload_, 2, opts), std::invalid_argument);
 }
 
 TEST_F(SchedulerTest, DynamicSurvivesWorkerDeath) {
   // Rank 2 dies on its 4th job.
-  const auto opts = sched::SessionOptions().with_kill_after(3, /*rank=*/2);
+  const auto opts =
+      sched::SessionOptions().with_fault_plan(pph::mp::FaultPlan().kill_announced(2, 3));
   const auto report = sched::run_paths(workload_, 4, opts);
   // All paths still tracked exactly once, by the surviving workers.
   expect_matches_baseline(report);

@@ -1,8 +1,7 @@
 // Tests for the unified scheduler sessions (sched/session.hpp): the
-// JobSource x Policy x ResultSink composition must reproduce the legacy
-// entry points bit for bit (the legacy-equivalence tests below deliberately
-// call the deprecated wrappers; the pragma scopes the opt-out), the Pieri tree source must ride both dispatch
-// policies with one solution set, the kill-switch fail injection must cover
+// JobSource x Policy x ResultSink composition must reproduce the sequential
+// baseline under every policy knob, the Pieri tree source must ride both
+// dispatch policies with one solution set, fault-plan injection must cover
 // the Pieri scheduler (death re-queue), and the checkpoint control
 // (stop_after_results) must stop a session early without losing results.
 
@@ -11,10 +10,7 @@
 #include <algorithm>
 #include <set>
 
-#include "sched/batch_scheduler.hpp"
-#include "sched/dynamic_scheduler.hpp"
 #include "sched/pieri_scheduler.hpp"
-#include "sched/static_scheduler.hpp"
 #include "scheduler_fixture.hpp"
 
 namespace {
@@ -25,40 +21,6 @@ using pph::sched::Policy;
 using pph::sched::SessionOptions;
 using pph::testing::SchedulerTest;
 using pph::util::Prng;
-
-// ---- the facade vs the legacy wrappers --------------------------------------
-// The wrappers are deprecated; these equivalence tests are the one place
-// that still calls them ON PURPOSE, to pin the facade to the legacy
-// behavior bit for bit.  The pragma scopes the opt-out to exactly here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST_F(SchedulerTest, RunPathsFcfsMatchesLegacyDynamic) {
-  SessionOptions opts;
-  opts.policy = Policy::kFCFS;
-  const auto session = pph::sched::run_paths(workload_, 4, opts);
-  const auto legacy = pph::sched::run_dynamic(workload_, 4);
-  expect_identical_results(session, legacy);
-}
-
-TEST_F(SchedulerTest, RunPathsStaticMatchesLegacyStatic) {
-  SessionOptions opts;
-  opts.policy = Policy::kStatic;
-  opts.assignment = pph::sched::StaticAssignment::kBlock;
-  const auto session = pph::sched::run_paths(workload_, 3, opts);
-  const auto legacy = pph::sched::run_static(workload_, 3, pph::sched::StaticAssignment::kBlock);
-  expect_identical_results(session, legacy);
-}
-
-TEST_F(SchedulerTest, RunPathsBatchStealMatchesLegacyBatch) {
-  SessionOptions opts;
-  opts.policy = Policy::kBatchSteal;
-  const auto session = pph::sched::run_paths(workload_, 4, opts);
-  const auto legacy = pph::sched::run_batch(workload_, 4);
-  expect_identical_results(session, legacy);
-}
-
-#pragma GCC diagnostic pop
 
 TEST_F(SchedulerTest, FcfsHonorsInitialJobsPerSlave) {
   SessionOptions opts;
@@ -160,8 +122,7 @@ TEST(ParallelPieriSession, RejectsStaticPolicy) {
   EXPECT_THROW(pph::sched::run_pieri(input, 3, opts), std::invalid_argument);
 }
 
-// ---- Pieri fail injection (the satellite: the Pieri path was the only
-// scheduler without failure coverage) ----------------------------------------
+// ---- Pieri fault injection --------------------------------------------------
 
 TEST(ParallelPieriSession, SurvivesWorkerDeathUnderFcfs) {
   const PieriProblem pb{2, 2, 1};
@@ -171,8 +132,7 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderFcfs) {
   ASSERT_TRUE(healthy.complete());
 
   pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 2;
-  opts.kill_slave_after_jobs = 3;  // rank 2 dies on its 4th edge
+  opts.fault_plan.kill_announced(/*rank=*/2, /*after_jobs=*/3);  // dies on its 4th edge
   const auto report = pph::sched::run_pieri(input, 4, opts);
   // The master re-queues the dead slave's edges; the survivors finish the
   // tree with the full solution set.
@@ -190,8 +150,7 @@ TEST(ParallelPieriSession, SurvivesWorkerDeathUnderBatchSteal) {
   const auto input = pph::schubert::random_pieri_input(pb, rng);
   pph::sched::ParallelPieriOptions opts;
   opts.policy = Policy::kBatchSteal;
-  opts.kill_slave_rank = 1;
-  opts.kill_slave_after_jobs = 2;
+  opts.fault_plan.kill_announced(/*rank=*/1, /*after_jobs=*/2);
   const auto report = pph::sched::run_pieri(input, 4, opts);
   EXPECT_TRUE(report.complete());
 }
@@ -201,8 +160,7 @@ TEST(ParallelPieriSession, RejectsKillingTheMaster) {
   Prng rng(46);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
   pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 0;
-  opts.kill_slave_after_jobs = 1;
+  opts.fault_plan.kill_announced(/*rank=*/0, /*after_jobs=*/1);
   EXPECT_THROW(pph::sched::run_pieri(input, 4, opts), std::invalid_argument);
 }
 
@@ -211,9 +169,17 @@ TEST(ParallelPieriSession, RejectsOutOfRangeKillRank) {
   Prng rng(46);
   const auto input = pph::schubert::random_pieri_input(pb, rng);
   pph::sched::ParallelPieriOptions opts;
-  opts.kill_slave_rank = 9;
-  opts.kill_slave_after_jobs = 1;
+  opts.fault_plan.kill_announced(/*rank=*/9, /*after_jobs=*/1);
   EXPECT_THROW(pph::sched::run_pieri(input, 4, opts), std::invalid_argument);
+}
+
+TEST(ParallelPieriSession, RejectsKillingEverySlave) {
+  const PieriProblem pb{2, 2, 0};
+  Prng rng(46);
+  const auto input = pph::schubert::random_pieri_input(pb, rng);
+  pph::sched::ParallelPieriOptions opts;
+  opts.fault_plan.kill_announced(/*rank=*/1, /*after_jobs=*/1);
+  EXPECT_THROW(pph::sched::run_pieri(input, 2, opts), std::invalid_argument);
 }
 
 }  // namespace

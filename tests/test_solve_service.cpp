@@ -2,8 +2,8 @@
 // determinism, streamed-vs-drained bit-identity (admission timing must
 // never change the numerics), backpressure (drop and block), graceful
 // deadline shutdown with zero loss, runtime-vs-simulator agreement on a
-// fixed trace, the LatencySink / tee(...) sink combinators, and the fluent
-// SessionOptions front door.
+// fixed trace, the tee(...) sink combinator, and the fluent SessionOptions
+// front door.
 
 #include <gtest/gtest.h>
 
@@ -121,7 +121,10 @@ TEST_F(SchedulerTest, StreamedFcfsServeMatchesDrainedRun) {
   EXPECT_EQ(stats.service.admitted, starts_.size());
   EXPECT_EQ(stats.service.dropped, 0u);
   EXPECT_TRUE(stats.service.drained());
+  // One admit->accept sojourn sample per request.
   EXPECT_EQ(stats.service.sojourn.count(), starts_.size());
+  EXPECT_GT(stats.service.sojourn.p50(), 0.0);
+  EXPECT_LE(stats.service.sojourn.p50(), stats.service.sojourn.p99());
   const auto streamed = sink.report(stats);
   const auto drained = sched::run_paths(workload_, 4);
   expect_identical_results(streamed, drained);
@@ -227,7 +230,8 @@ TEST_F(SchedulerTest, ServeSurvivesWorkerDeathWithZeroLoss) {
   sched::StreamJobSource stream(inner, burst);
   sched::InMemoryReportSink sink;
   sched::Session session(stream, sink,
-                         sched::SessionOptions().with_kill_after(3, /*rank=*/2));
+                         sched::SessionOptions().with_fault_plan(
+                             pph::mp::FaultPlan().kill_announced(/*rank=*/2, 3)));
   const auto stats = session.serve(4);
   EXPECT_TRUE(stats.service.drained());
   EXPECT_EQ(stats.service.completed, 120u);
@@ -565,25 +569,6 @@ TEST_F(SchedulerTest, TeeFansOutToEverySink) {
   EXPECT_EQ(b.count(), 1u);
 }
 
-TEST_F(SchedulerTest, LatencySinkMeasuresAdmitToReport) {
-  sched::PoissonArrivals proc(4000.0);
-  Prng rng(31);
-  const auto trace = sched::arrival_times(proc, rng, starts_.size());
-  sched::VectorJobSource inner(workload_);
-  sched::StreamJobSource stream(inner, trace);
-  sched::InMemoryReportSink mem;
-  sched::LatencySink lat(mem);
-  stream.set_admit_observer([&](sched::JobId id) { lat.admit(id); });
-  sched::Session session(stream, lat, sched::SessionOptions());
-  const auto stats = session.serve(4);
-
-  EXPECT_TRUE(stats.service.drained());
-  EXPECT_EQ(lat.latencies().count(), starts_.size());
-  EXPECT_GT(lat.latencies().p50(), 0.0);
-  EXPECT_LE(lat.latencies().p50(), lat.latencies().p99());
-  expect_matches_baseline(mem.report(stats));
-}
-
 // ---- front-door validation --------------------------------------------------
 
 TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
@@ -593,7 +578,6 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
                         .with_initial_jobs(2)
                         .with_batch(3.0, 4)
                         .with_latency(0.001)
-                        .with_kill_after(5, 2)
                         .with_stop_after(7)
                         .with_serve_deadline(1.5)
                         .with_supervision(pph::sched::SupervisorOptions()
@@ -603,7 +587,10 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
                                               .with_speculation(4.0, 6)
                                               .with_max_attempts(2)
                                               .with_ewma_alpha(0.5))
-                        .with_fault_plan(pph::mp::FaultPlan().kill(2, 5).straggle(1, 0, 0.01))
+                        .with_fault_plan(pph::mp::FaultPlan()
+                                             .kill(2, 5)
+                                             .straggle(1, 0, 0.01)
+                                             .kill_announced(3, 6))
                         .with_name("fluent-test");
   EXPECT_EQ(opts.policy, sched::Policy::kBatchSteal);
   EXPECT_EQ(opts.assignment, sched::StaticAssignment::kBlock);
@@ -611,8 +598,6 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
   EXPECT_DOUBLE_EQ(opts.factor, 3.0);
   EXPECT_EQ(opts.min_batch, 4u);
   EXPECT_DOUBLE_EQ(opts.injected_latency, 0.001);
-  EXPECT_EQ(opts.kill_slave_after_jobs, std::optional<std::size_t>(5));
-  EXPECT_EQ(opts.kill_slave_rank, 2);
   EXPECT_EQ(opts.stop_after_results, std::optional<std::size_t>(7));
   EXPECT_EQ(opts.serve_deadline_seconds, std::optional<double>(1.5));
   EXPECT_TRUE(opts.supervisor.enabled);  // with_supervision is the opt-in
@@ -625,9 +610,12 @@ TEST_F(SchedulerTest, FluentOptionsSetEveryField) {
   EXPECT_EQ(opts.supervisor.speculation_min_samples, 6u);
   EXPECT_EQ(opts.supervisor.max_attempts, 2u);
   EXPECT_DOUBLE_EQ(opts.supervisor.ewma_alpha, 0.5);
-  ASSERT_EQ(opts.fault_plan.actions().size(), 2u);
+  ASSERT_EQ(opts.fault_plan.actions().size(), 3u);
   EXPECT_EQ(opts.fault_plan.actions()[0].kind, pph::mp::FaultKind::kDieSilently);
   EXPECT_EQ(opts.fault_plan.actions()[1].kind, pph::mp::FaultKind::kStraggle);
+  EXPECT_EQ(opts.fault_plan.actions()[2].kind, pph::mp::FaultKind::kDieAnnounced);
+  EXPECT_EQ(opts.fault_plan.actions()[2].rank, 3);
+  EXPECT_EQ(opts.fault_plan.actions()[2].after_jobs, 6u);
   EXPECT_FALSE(pph::sched::SessionOptions().supervisor.enabled);  // default off
   EXPECT_STREQ(opts.who, "fluent-test");
 }

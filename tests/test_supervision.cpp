@@ -9,10 +9,15 @@
 // Every fault below is injected from a declarative seeded plan, so each
 // test replays the same failure on every run -- no sleeps hoping a race
 // shows up.  Supervision windows are sized for sanitizer builds: the
-// heartbeat is 10 ms and a death verdict takes ~0.4 s of silence.
+// heartbeat is 10 ms and a death verdict takes ~0.4 s of silence.  A test
+// that needs the survivors to finish the pool inside a window (and then
+// idle) scales that window to the fixture's measured sequential time, so
+// a slower build gets a longer window, never a shorter idle stretch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -35,6 +40,11 @@ using pph::testing::SchedulerTest;
 // trip it while healthy, small enough to keep the suite fast.
 sched::SupervisorOptions test_supervisor() {
   return sched::SupervisorOptions().with_heartbeat(0.01).with_miss_budget(20, 2.0);
+}
+
+/// Heartbeats of `heartbeat` seconds that add up to at least `seconds`.
+std::size_t beats_covering(double seconds, double heartbeat) {
+  return static_cast<std::size_t>(std::ceil(seconds / heartbeat));
 }
 
 // ---- seeded fault plans -----------------------------------------------------
@@ -112,9 +122,16 @@ TEST(FaultPlan, InjectorFiresAtJobBoundaries) {
 // exercises the other path).
 
 TEST_F(SchedulerTest, FcfsSurvivesSilentDeathByHeartbeatMiss) {
-  const auto opts = sched::SessionOptions()
-                        .with_fault_plan(mp::FaultPlan().kill(2, 3))
-                        .with_supervision(test_supervisor().without_speculation());
+  // Heartbeats come from idle slaves only.  The suspect window is at least
+  // the whole sequential baseline, about twice what the two survivors need
+  // to drain the pool, and the death verdict takes twice the window: the
+  // survivors run dry and beacon long before rank 2 is declared dead, on
+  // any build.
+  const std::size_t beats = std::max<std::size_t>(20, beats_covering(baseline_seconds_, 0.01));
+  const auto opts =
+      sched::SessionOptions()
+          .with_fault_plan(mp::FaultPlan().kill(2, 3))
+          .with_supervision(test_supervisor().with_miss_budget(beats, 2.0).without_speculation());
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(source, sink, opts);
@@ -214,16 +231,17 @@ TEST_F(SchedulerTest, ServeBatchStealSurvivesHangWithZeroLoss) {
   expect_matches_baseline(sink.report(stats));
 }
 
-// ---- the legacy kill switch is a fault-plan wrapper -------------------------
+// ---- announced deaths --------------------------------------------------------
 
-TEST_F(SchedulerTest, LegacyKillSwitchCountsAsAnnouncedDeath) {
-  // with_kill_after folds into the plan as one kDieAnnounced action: the
-  // cooperative kTagDead arrives, no silence verdict is ever needed.
+TEST_F(SchedulerTest, AnnouncedDeathUnderSupervisionIsNotDetected) {
+  // kill_announced sends the cooperative kTagDead: even with the supervisor
+  // watching, the death counts as announced and no silence verdict is ever
+  // needed.
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(source, sink,
                          sched::SessionOptions()
-                             .with_kill_after(3, /*rank=*/2)
+                             .with_fault_plan(mp::FaultPlan().kill_announced(2, 3))
                              .with_supervision(test_supervisor()));
   const auto stats = session.run(4);
   EXPECT_EQ(stats.supervision.deaths_announced, 1u);
@@ -232,8 +250,8 @@ TEST_F(SchedulerTest, LegacyKillSwitchCountsAsAnnouncedDeath) {
 }
 
 TEST_F(SchedulerTest, AnnouncedDeathNeedsNoSupervisor) {
-  // A cooperative death is visible without supervision (as the legacy kill
-  // switch always was), and the announced-death counter still tallies it.
+  // A cooperative death is visible without supervision, and the
+  // announced-death counter still tallies it.
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
   sched::Session session(
@@ -248,17 +266,22 @@ TEST_F(SchedulerTest, AnnouncedDeathNeedsNoSupervisor) {
 // ---- speculative re-dispatch ------------------------------------------------
 
 TEST_F(SchedulerTest, SpeculationOutrunsAStraggler) {
-  // Rank 2 sleeps 0.5 s before every job.  Once the pool drains and the
-  // EWMA is seeded, its in-flight job goes over-age and a copy is handed to
-  // an idle slave, whose result lands first (the straggler is still
-  // asleep).  The loser's duplicate is dropped, so the bits cannot depend
-  // on who won -- which expect_matches_baseline then proves.
+  // Rank 2 sleeps before every job: at least 0.5 s, and twice the whole
+  // sequential baseline, so the two other slaves drain the pool (about
+  // half the baseline) while rank 2 is still in its first sleep, on any
+  // build.  Once the pool drains and the EWMA is seeded, its in-flight job
+  // goes over-age and a copy is handed to an idle slave, whose result
+  // lands first (the straggler is still asleep).  The loser's duplicate is
+  // dropped, so the bits cannot depend on who won -- which
+  // expect_matches_baseline then proves.
+  const double sleep = std::max(0.5, 2.0 * baseline_seconds_);
   const auto opts =
       sched::SessionOptions()
-          .with_fault_plan(mp::FaultPlan().straggle(2, 0, 0.5))
+          .with_fault_plan(mp::FaultPlan().straggle(2, 0, sleep))
           .with_supervision(sched::SupervisorOptions()
                                 .with_heartbeat(0.02)
-                                .with_miss_budget(50, 2.0)  // 1 s: outlasts the sleep
+                                // Twice the sleep: slow is not silent.
+                                .with_miss_budget(beats_covering(2.0 * sleep, 0.02), 2.0)
                                 .with_speculation(/*factor=*/1.5, /*min_samples=*/4));
   sched::VectorJobSource source(workload_);
   sched::InMemoryReportSink sink;
